@@ -24,7 +24,10 @@
 //! `--threshold` percent (default 25) exits nonzero. `--check` also
 //! holds the telemetry pin: the `telemetry_120s_noop_observer` row may
 //! exceed `telemetry_120s_uninstrumented` by at most 2% (snapshots
-//! without the pair skip it). `--quick` runs only
+//! without the pair skip it). The `telemetry_600s_ledger_stack` row
+//! times one ledger-enabled cell under the sweep engine's traced-cell
+//! observer stack beside `telemetry_600s_uninstrumented`, so the gate
+//! also covers the observer layer `sweep --ledger 1` pays. `--quick` runs only
 //! the fast `f64` kernel rows and writes nothing — check.sh uses it as a
 //! warn-only smoke; scripts/bench.sh runs the full gate. Every full run
 //! also appends one compact line to `BENCH_history.jsonl` beside the
@@ -35,7 +38,7 @@ use origin_bench::regression::{
     BenchSnapshot, RegressionReport, NOOP_OVERHEAD_LIMIT_PCT, TELEMETRY_NOOP_OBSERVER,
     TELEMETRY_UNINSTRUMENTED,
 };
-use origin_bench::sweep::{run_sweep, SweepGrid, SweepOptions, SweepPolicy};
+use origin_bench::sweep::{run_sweep, run_traced_cell, SweepGrid, SweepOptions, SweepPolicy};
 use origin_core::experiments::{Dataset, ExperimentContext};
 use origin_core::{BaselineKind, Deployment, ModelVariant, PolicyKind, SimConfig, Simulator};
 use origin_nn::{KernelPath, Mlp, Scalar, Trainer, Workspace};
@@ -112,9 +115,11 @@ fn pruned_mlp<S: Scalar>(sparsity: f64, seed: u64) -> Mlp<S> {
     model
 }
 
+/// The short revision, suffixed `-dirty` when the numbers come from
+/// uncommitted changes on top of it.
 fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty"])
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -413,7 +418,8 @@ fn machine_metadata() -> JsonValue {
 
 /// The slow rows of the full snapshot: the scalar-reference A/B twins,
 /// `f32` kernel twins (both paths), the trained classifier entry
-/// points, the 16-cell sweep and the telemetry no-op pin.
+/// points, the 16-cell sweep, the telemetry no-op pin and the ledger
+/// observer stack.
 fn full_benches(
     push: &impl Fn(&mut Vec<(String, JsonValue)>, &str, f64, f64),
     rows: &mut Vec<(String, JsonValue)>,
@@ -474,8 +480,8 @@ fn full_benches(
     // The telemetry no-op pin: `run` delegates to `run_observed` with
     // `NoopObserver`, whose empty `on_event` must let the optimizer
     // delete every emission site, so the two rows stay within noise.
+    let sim = Simulator::new(Deployment::builder().seed(13).build(), bench_models(13));
     {
-        let sim = Simulator::new(Deployment::builder().seed(13).build(), bench_models(13));
         let config = SimConfig::new(PolicyKind::Origin { cycle: 12 })
             .with_horizon(SimDuration::from_secs(120))
             .with_seed(3);
@@ -492,5 +498,28 @@ fn full_benches(
         );
         push(rows, TELEMETRY_UNINSTRUMENTED, ns_plain, 1.0);
         push(rows, TELEMETRY_NOOP_OBSERVER, ns_noop, 1.0);
+    }
+
+    // The ledger observer stack: one ledger-enabled 600 s cell under the
+    // sweep engine's traced-cell stack (JSONL, metrics, ledger audit),
+    // paired with the same cell unobserved; the gap is the telemetry
+    // layer that `sweep --ledger 1` pays per cell.
+    {
+        let config = SimConfig::new(PolicyKind::Origin { cycle: 12 })
+            .with_horizon(SimDuration::from_secs(600))
+            .with_seed(3);
+        let (ns_plain, ns_ledger) = paired_median_ns(
+            15,
+            1,
+            || {
+                let _ = black_box(sim.run(black_box(&config))).expect("valid cycle");
+            },
+            || {
+                let _ = black_box(run_traced_cell(&sim, black_box(&config), true, None))
+                    .expect("valid cycle");
+            },
+        );
+        push(rows, "telemetry_600s_uninstrumented", ns_plain, 1.0);
+        push(rows, "telemetry_600s_ledger_stack", ns_ledger, 1.0);
     }
 }

@@ -28,8 +28,9 @@
 //! Flags (all optional): `--seed BASE` (77), `--seeds N` (3 enumerated,
 //! 1 population), `--policies LIST` (`origin12,bl2`), `--users N` (1;
 //! larger values sample a cohort), `--horizon SECS` (3600), `--threads N`
-//! (0 = auto), `--instrument 1` (per-cell JSONL traces + metrics in the
-//! manifest), `--ledger 1` (stream the per-slot energy ledger, audit
+//! (0 = auto), `--instrument 1` (record each cell's event stream and put
+//! its metrics snapshot and event count in the manifest; the JSONL text
+//! itself is not written anywhere), `--ledger 1` (stream the per-slot energy ledger, audit
 //! conservation per cell, and print a per-policy energy table; exits
 //! nonzero if any slot fails the audit), `--spans PATH` (write
 //! logical-time span traces for all cells to one JSONL file — feed it to

@@ -33,7 +33,8 @@
 //! The engine threads the existing [`SimObserver`](origin_telemetry::SimObserver)
 //! machinery through: with [`SweepOptions::instrument`] each cell records
 //! its own JSONL event trace and metrics, and [`SweepReport::to_manifest`]
-//! merges one child [`RunManifest`] per cell into a single run manifest.
+//! merges one child [`RunManifest`] per cell (its metrics snapshot and
+//! event count, not the JSONL text) into a single run manifest.
 //!
 //! The `sweep` binary exposes the engine on the command line
 //! (`--seeds N --policies origin12,bl2 --users N --threads N --json …`);
@@ -665,34 +666,51 @@ fn run_cell<S: Scalar>(
             trace: None,
         });
     }
-    // One statically-dispatched stack: the JSONL/metrics pair is always
-    // present on a traced run, while the auditor and span recorder are
-    // `Option` observers that stay inert (and keep `wants_ledger` false)
-    // when their features are off.
-    let auditor = opts.ledger.then(LedgerAuditor::default);
     let spans = opts.spans.then(|| {
         SpanObserver::for_cell(&format!("cell_{:04} {}", cell.id, policy.label()))
             .with_id_base((cell.id as u64) << 32)
     });
-    let mut observer = Tee(
-        Tee(JsonlObserver::new(Vec::new()), MetricsObserver::new()),
-        Tee(auditor, spans),
-    );
-    let report = sim.run_observed(&config, &mut observer)?;
-    let Tee(Tee(jsonl, metrics), Tee(auditor, spans)) = observer;
-    let events = jsonl.events_written();
-    let bytes = jsonl.finish().expect("Vec<u8> writes are infallible");
+    let (report, trace) = run_traced_cell(sim, &config, opts.ledger, spans)?;
     Ok(SweepCellResult {
         cell,
         report,
-        trace: Some(CellTrace {
-            jsonl: String::from_utf8(bytes).expect("JSON output is UTF-8"),
-            events,
-            metrics: metrics.into_metrics(),
-            audit: auditor.map(LedgerAuditor::into_report),
-            spans: spans.map(|mut s| s.to_jsonl()),
-        }),
+        trace: Some(trace),
     })
+}
+
+/// Runs one traced cell under the engine's observer stack and returns
+/// its report and [`CellTrace`].
+///
+/// One statically-dispatched stack: the JSONL/metrics pair is always
+/// present, while the ledger auditor (`ledger`) and the span recorder
+/// (`spans`) are `Option` observers that stay inert, and keep
+/// `wants_ledger` false, when absent.
+///
+/// # Errors
+///
+/// Propagates the simulator's [`CoreError`].
+pub fn run_traced_cell<S: Scalar>(
+    sim: &Simulator<S>,
+    config: &SimConfig,
+    ledger: bool,
+    spans: Option<SpanObserver>,
+) -> Result<(SimReport, CellTrace), CoreError> {
+    let mut observer = Tee(
+        Tee(JsonlObserver::new(Vec::new()), MetricsObserver::new()),
+        Tee(ledger.then(LedgerAuditor::default), spans),
+    );
+    let report = sim.run_observed(config, &mut observer)?;
+    let Tee(Tee(jsonl, metrics), Tee(auditor, spans)) = observer;
+    let events = jsonl.events_written();
+    let bytes = jsonl.finish().expect("Vec<u8> writes are infallible");
+    let trace = CellTrace {
+        jsonl: String::from_utf8(bytes).expect("JSON output is UTF-8"),
+        events,
+        metrics: metrics.into_metrics(),
+        audit: auditor.map(LedgerAuditor::into_report),
+        spans: spans.map(|mut s| s.to_jsonl()),
+    };
+    Ok((report, trace))
 }
 
 #[cfg(test)]

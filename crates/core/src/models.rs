@@ -61,6 +61,7 @@ pub struct ModelBank<S: Scalar = f64> {
     unpruned_cm: Vec<ConfusionMatrix>,
     pruned_cm: Vec<ConfusionMatrix>,
     confidence: ConfidenceMatrix,
+    rank: RankTable,
 }
 
 impl<S: Scalar> ModelBank<S> {
@@ -247,6 +248,7 @@ impl<S: Scalar> ModelBank<S> {
             ConfidenceMatrix::DEFAULT_ALPHA,
         );
 
+        let rank = RankTable::from_validation(spec.activities.clone(), &pruned_cm);
         Ok(Self {
             spec: spec.clone(),
             activities: spec.activities.clone(),
@@ -257,6 +259,7 @@ impl<S: Scalar> ModelBank<S> {
             unpruned_cm,
             pruned_cm,
             confidence,
+            rank,
         })
     }
 
@@ -319,11 +322,11 @@ impl<S: Scalar> ModelBank<S> {
             .inference_energy(&self.energy_model)
     }
 
-    /// The AAS rank table, built from the *deployed* (pruned) models'
-    /// validation accuracy.
+    /// The AAS rank table, built once at training from the *deployed*
+    /// (pruned) models' validation accuracy.
     #[must_use]
-    pub fn rank_table(&self) -> RankTable {
-        RankTable::from_validation(self.activities.clone(), &self.pruned_cm)
+    pub fn rank_table(&self) -> &RankTable {
+        &self.rank
     }
 
     /// The initial confidence matrix, from the pruned models' validation
@@ -376,6 +379,16 @@ mod tests {
         let rank = bank.rank_table();
         assert_eq!(rank.node_count(), 3);
         assert_eq!(rank.activities(), bank.activities());
+        // The table cached at training is the one the pruned models'
+        // validation matrices give.
+        let pruned: Vec<ConfusionMatrix> = SensorLocation::ALL
+            .iter()
+            .map(|&loc| bank.validation_confusion(ModelVariant::Pruned, loc).clone())
+            .collect();
+        assert_eq!(
+            rank,
+            &RankTable::from_validation(bank.activities().clone(), &pruned)
+        );
         let cm = bank.confidence_matrix(0.1);
         assert_eq!(cm.node_count(), 3);
         assert_eq!(cm.activities(), bank.activities());

@@ -117,12 +117,13 @@ impl Plan {
     }
 }
 
-/// Runtime scheduling state for one policy.
+/// Runtime scheduling state for one policy, borrowing the rank table
+/// its models were trained with.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PolicyState {
+pub struct PolicyState<'r> {
     kind: PolicyKind,
     slots: Option<Slots>,
-    rank: RankTable,
+    rank: &'r RankTable,
     nodes: usize,
     cold_start_next: usize,
     prev_attempter: Option<NodeId>,
@@ -133,14 +134,14 @@ pub struct PolicyState {
     last_attempt: Vec<Option<u64>>,
 }
 
-impl PolicyState {
+impl<'r> PolicyState<'r> {
     /// Builds the runtime state for `kind` over `nodes` sensors, using
     /// `rank` for activity-aware selection.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::BadCycle`] for invalid ER-r cycles.
-    pub fn new(kind: PolicyKind, rank: RankTable, nodes: usize) -> Result<Self, CoreError> {
+    pub fn new(kind: PolicyKind, rank: &'r RankTable, nodes: usize) -> Result<Self, CoreError> {
         let slots = match kind.cycle() {
             Some(cycle) => Some(Slots::new(cycle, nodes)?),
             None => None,
@@ -170,8 +171,8 @@ impl PolicyState {
 
     /// The rank table in use.
     #[must_use]
-    pub fn rank(&self) -> &RankTable {
-        &self.rank
+    pub fn rank(&self) -> &'r RankTable {
+        self.rank
     }
 
     /// Decides who attempts at window index `window`.
@@ -345,7 +346,8 @@ mod tests {
 
     #[test]
     fn naive_schedules_everyone() {
-        let mut p = PolicyState::new(PolicyKind::NaiveAllOn, rank_preferring(0), 3).unwrap();
+        let rank = rank_preferring(0);
+        let mut p = PolicyState::new(PolicyKind::NaiveAllOn, &rank, 3).unwrap();
         let plan = p.plan(0, None, &[2.0, 2.0, 2.0]);
         assert_eq!(plan.attempters.len(), 3);
         assert!(plan.signal.is_none());
@@ -354,8 +356,8 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_fixed_order() {
-        let mut p =
-            PolicyState::new(PolicyKind::RoundRobin { cycle: 6 }, rank_preferring(0), 3).unwrap();
+        let rank = rank_preferring(0);
+        let mut p = PolicyState::new(PolicyKind::RoundRobin { cycle: 6 }, &rank, 3).unwrap();
         let afford = [2.0, 2.0, 2.0];
         assert_eq!(p.plan(0, None, &afford).attempters, vec![NodeId::new(0)]);
         assert!(p.plan(1, None, &afford).attempters.is_empty()); // no-op
@@ -366,14 +368,16 @@ mod tests {
 
     #[test]
     fn aas_picks_ranked_best_when_affordable() {
-        let mut p = PolicyState::new(PolicyKind::Aas { cycle: 3 }, rank_preferring(2), 3).unwrap();
+        let rank = rank_preferring(2);
+        let mut p = PolicyState::new(PolicyKind::Aas { cycle: 3 }, &rank, 3).unwrap();
         let plan = p.plan(0, Some(ActivityClass::Walking), &[2.0, 2.0, 2.0]);
         assert_eq!(plan.attempters, vec![NodeId::new(2)]);
     }
 
     #[test]
     fn aas_falls_back_to_next_best() {
-        let mut p = PolicyState::new(PolicyKind::Aas { cycle: 3 }, rank_preferring(2), 3).unwrap();
+        let rank = rank_preferring(2);
+        let mut p = PolicyState::new(PolicyKind::Aas { cycle: 3 }, &rank, 3).unwrap();
         // Node 2 (best) cannot afford; ties at 4/10 for 0 and 1 break to 0.
         let plan = p.plan(0, Some(ActivityClass::Walking), &[2.0, 2.0, 0.4]);
         assert_eq!(plan.attempters, vec![NodeId::new(0)]);
@@ -381,14 +385,16 @@ mod tests {
 
     #[test]
     fn aas_attempts_best_even_when_no_one_affords() {
-        let mut p = PolicyState::new(PolicyKind::Aas { cycle: 3 }, rank_preferring(1), 3).unwrap();
+        let rank = rank_preferring(1);
+        let mut p = PolicyState::new(PolicyKind::Aas { cycle: 3 }, &rank, 3).unwrap();
         let plan = p.plan(0, Some(ActivityClass::Running), &[0.1, 0.9, 0.2]);
         assert_eq!(plan.attempters, vec![NodeId::new(1)]);
     }
 
     #[test]
     fn aas_signals_on_handoff() {
-        let mut p = PolicyState::new(PolicyKind::Aas { cycle: 3 }, rank_preferring(2), 3).unwrap();
+        let rank = rank_preferring(2);
+        let mut p = PolicyState::new(PolicyKind::Aas { cycle: 3 }, &rank, 3).unwrap();
         let first = p.plan(0, Some(ActivityClass::Walking), &[2.0, 2.0, 2.0]);
         assert!(first.signal.is_none(), "no previous attempter yet");
         // Best node 2 is now on ER-r cooldown: hand-off to node 0,
@@ -409,7 +415,8 @@ mod tests {
     fn aas_cooldown_rotates_all_sensors_within_a_cycle() {
         // With abundant energy the best sensor must NOT monopolize the
         // slots — each node runs once per cycle, keeping recalls fresh.
-        let mut p = PolicyState::new(PolicyKind::Aasr { cycle: 3 }, rank_preferring(2), 3).unwrap();
+        let rank = rank_preferring(2);
+        let mut p = PolicyState::new(PolicyKind::Aasr { cycle: 3 }, &rank, 3).unwrap();
         let mut seen = std::collections::BTreeSet::new();
         for w in 0..3 {
             let plan = p.plan(w, Some(ActivityClass::Walking), &[2.0, 2.0, 2.0]);
@@ -420,8 +427,8 @@ mod tests {
 
     #[test]
     fn cold_start_rotates() {
-        let mut p =
-            PolicyState::new(PolicyKind::Origin { cycle: 3 }, rank_preferring(0), 3).unwrap();
+        let rank = rank_preferring(0);
+        let mut p = PolicyState::new(PolicyKind::Origin { cycle: 3 }, &rank, 3).unwrap();
         let a = p.plan(0, None, &[2.0; 3]).attempters[0];
         let b = p.plan(1, None, &[2.0; 3]).attempters[0];
         assert_ne!(a, b, "cold start must not hammer one node");
@@ -450,8 +457,8 @@ mod tests {
     #[test]
     fn plan_observed_reports_noop_slots() {
         use origin_telemetry::RecordingObserver;
-        let mut p =
-            PolicyState::new(PolicyKind::RoundRobin { cycle: 6 }, rank_preferring(0), 3).unwrap();
+        let rank = rank_preferring(0);
+        let mut p = PolicyState::new(PolicyKind::RoundRobin { cycle: 6 }, &rank, 3).unwrap();
         let mut rec = RecordingObserver::new();
         let afford = [2.0, 2.0, 2.0];
         // Window 0 is a sensor slot, window 1 an ER-6 no-op.
@@ -476,8 +483,9 @@ mod tests {
 
     #[test]
     fn bad_cycle_is_rejected() {
+        let rank = rank_preferring(0);
         assert!(matches!(
-            PolicyState::new(PolicyKind::Aas { cycle: 7 }, rank_preferring(0), 3),
+            PolicyState::new(PolicyKind::Aas { cycle: 7 }, &rank, 3),
             Err(CoreError::BadCycle { .. })
         ));
     }
@@ -513,7 +521,7 @@ mod extension_tests {
         let rank = RankTable::from_validation(set, &matrices);
         assert_eq!(rank.node_count(), 4);
 
-        let mut p = PolicyState::new(PolicyKind::Origin { cycle: 8 }, rank, 4).unwrap();
+        let mut p = PolicyState::new(PolicyKind::Origin { cycle: 8 }, &rank, 4).unwrap();
         let mut scheduled = std::collections::BTreeSet::new();
         for w in 0..8 {
             let plan = p.plan(w, Some(ActivityClass::Walking), &[2.0; 4]);
@@ -542,7 +550,7 @@ mod extension_tests {
             .collect();
         let rank = RankTable::from_validation(set, &matrices);
         assert!(matches!(
-            PolicyState::new(PolicyKind::Aas { cycle: 9 }, rank, 4),
+            PolicyState::new(PolicyKind::Aas { cycle: 9 }, &rank, 4),
             Err(CoreError::BadCycle { cycle: 9, nodes: 4 })
         ));
     }

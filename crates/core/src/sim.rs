@@ -508,6 +508,9 @@ impl<S: Scalar> Simulator<S> {
             }
         }
 
+        // Per-window, per-node scratch, overwritten every window.
+        let mut headroom = vec![0.0; node_count];
+        let mut sensed_ok = vec![false; node_count];
         for w in 0..windows_total {
             let t0 = SimTime::from_micros(w * window.as_micros());
             let t1 = t0 + window;
@@ -521,17 +524,14 @@ impl<S: Scalar> Simulator<S> {
                 truth,
             });
 
-            let headroom: Vec<f64> = nodes
-                .iter()
-                .enumerate()
-                .map(|(n, node)| {
-                    if config.disabled_nodes.iter().any(|d| d.as_usize() == n) {
-                        return 0.0; // a dead sensor never has energy
-                    }
+            for (n, (node, room)) in nodes.iter().zip(&mut headroom).enumerate() {
+                *room = if config.disabled_nodes.iter().any(|d| d.as_usize() == n) {
+                    0.0 // a dead sensor never has energy
+                } else {
                     let cost = (sense_cost + infer_cost[n]).as_microjoules();
                     node.stored().as_microjoules() / cost
-                })
-                .collect();
+                };
+            }
             let anticipated = if config.oracle_anticipation {
                 Some(truth)
             } else {
@@ -568,7 +568,6 @@ impl<S: Scalar> Simulator<S> {
             }
 
             // Advance every node with its duty for this window.
-            let mut sensed_ok = vec![false; node_count];
             for (n, node) in nodes.iter_mut().enumerate() {
                 let is_attempter = plan.attempters.iter().any(|a| a.as_usize() == n);
                 let duty = if is_attempter {

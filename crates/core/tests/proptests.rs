@@ -162,13 +162,14 @@ fn policy_plans_are_well_formed() {
         let cycle = rng.u8_in(1..5) * 3;
         let windows = rng.u64_in(1..100);
         let headroom: Vec<f64> = (0..3).map(|_| rng.f64_in(0.0..3.0)).collect();
+        let rank = rank_table(seed);
         for kind in [
             PolicyKind::RoundRobin { cycle },
             PolicyKind::Aas { cycle },
             PolicyKind::Aasr { cycle },
             PolicyKind::Origin { cycle },
         ] {
-            let mut policy = PolicyState::new(kind, rank_table(seed), 3).expect("valid");
+            let mut policy = PolicyState::new(kind, &rank, 3).expect("valid");
             let mut attempts = 0u64;
             for w in 0..windows {
                 let plan = policy.plan(w, Some(ActivityClass::Walking), &headroom);

@@ -4,9 +4,10 @@
 use origin_core::{Deployment, ModelBank, PolicyKind, SimConfig, Simulator};
 use origin_sensors::DatasetSpec;
 use origin_telemetry::{
-    EventKind, JsonValue, JsonlObserver, MetricsObserver, RecordingObserver, SimEvent, Tee,
+    DrawOp, EventKind, JsonValue, JsonlObserver, LedgerEntry, MetricsObserver, MetricsRegistry,
+    Party, RecordingObserver, SimEvent, SimObserver, Tee, WithLedger,
 };
-use origin_types::SimDuration;
+use origin_types::{NodeId, SimDuration};
 
 fn quick_sim() -> Simulator {
     let spec = DatasetSpec::mhealth_like().with_windows(10, 6);
@@ -137,4 +138,192 @@ fn idle_slots_are_observed() {
         .count() as u64;
     assert_eq!(idle, report.windows - report.attempt_windows);
     assert!(idle > 0, "an ER-12 run must include no-op slots");
+}
+
+/// The metrics fold as one registry call per event — `inc`, `add`,
+/// `fadd`, `set_gauge`, `observe` under formatted keys — which is what
+/// [`MetricsObserver`]'s slot-indexed fold must reproduce exactly.
+fn reference_fold(events: &[SimEvent]) -> MetricsRegistry {
+    let mut m = MetricsRegistry::new();
+    for event in events {
+        m.inc(&format!(
+            "origin_events_total{{event=\"{}\"}}",
+            event.kind().name()
+        ));
+        match *event {
+            SimEvent::HarvestSlice {
+                node,
+                harvested_uj,
+                stored_uj,
+                ..
+            } => {
+                m.add(
+                    "origin_node_harvested_microjoules_total",
+                    harvested_uj.max(0.0) as u64,
+                );
+                m.set_gauge(
+                    &format!(
+                        "origin_node_stored_microjoules{{node=\"{}\"}}",
+                        node.as_u32()
+                    ),
+                    stored_uj,
+                );
+            }
+            SimEvent::SlotScheduled { attempters, .. } => m.observe(
+                "origin_slot_attempters",
+                &[0.0, 1.0, 2.0, 4.0, 8.0],
+                f64::from(attempters),
+            ),
+            SimEvent::InferenceAttempt { headroom, .. } => m.observe(
+                "origin_stored_headroom",
+                &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
+                headroom,
+            ),
+            SimEvent::InferenceCompleted { confidence, .. } => m.observe(
+                "origin_confidence",
+                &[0.02, 0.05, 0.1, 0.15, 0.2, 0.25],
+                confidence,
+            ),
+            SimEvent::MessageTx { bytes, .. } => {
+                m.add("origin_radio_bytes_total{outcome=\"sent\"}", bytes as u64);
+            }
+            SimEvent::MessageDrop { bytes, .. } => {
+                m.add(
+                    "origin_radio_bytes_total{outcome=\"dropped\"}",
+                    bytes as u64,
+                );
+            }
+            SimEvent::Ledger { entry, .. } => match entry {
+                LedgerEntry::Harvested { uj }
+                | LedgerEntry::ChargeLoss { uj }
+                | LedgerEntry::Clipped { uj }
+                | LedgerEntry::Leaked { uj } => m.fadd(
+                    &format!(
+                        "origin_ledger_microjoules_total{{flow=\"{}\"}}",
+                        entry.flow()
+                    ),
+                    uj,
+                ),
+                LedgerEntry::Drawn { op, uj } => m.fadd(
+                    &format!(
+                        "origin_ledger_drawn_microjoules_total{{op=\"{}\"}}",
+                        op.name()
+                    ),
+                    uj,
+                ),
+                LedgerEntry::SlotClose { .. } => m.inc("origin_ledger_slots_total"),
+                LedgerEntry::Opening { .. } => {}
+            },
+            _ => {}
+        }
+    }
+    m
+}
+
+/// Every key and the exact bits of every value, so `-0.0` and `0.0`
+/// (equal under `PartialEq`) still differ.
+fn exact(m: &MetricsRegistry) -> Vec<String> {
+    let mut rows: Vec<String> = m.counters().map(|(k, v)| format!("c {k} {v}")).collect();
+    rows.extend(
+        m.fcounters()
+            .map(|(k, v)| format!("f {k} {:#x}", v.to_bits())),
+    );
+    rows.extend(m.gauges().map(|(k, v)| format!("g {k} {:#x}", v.to_bits())));
+    rows.extend(m.histograms().map(|(k, h)| {
+        format!(
+            "h {k} {:?} {:?} {:#x} {}",
+            h.bounds(),
+            h.bucket_counts(),
+            h.sum().to_bits(),
+            h.count()
+        )
+    }));
+    rows
+}
+
+fn replayed(events: &[SimEvent]) -> MetricsRegistry {
+    let mut metrics = MetricsObserver::new();
+    for event in events {
+        metrics.on_event(event);
+    }
+    assert_eq!(metrics.total(), events.len() as u64);
+    metrics.into_metrics()
+}
+
+/// A ledger-enabled cell replayed through the aggregator gives the
+/// registry the per-event reference fold gives, bit for bit.
+#[test]
+fn metrics_fold_matches_the_per_event_reference() {
+    let sim = quick_sim();
+    for policy in [
+        PolicyKind::Origin { cycle: 12 },
+        PolicyKind::RoundRobin { cycle: 12 },
+    ] {
+        let mut recorder = WithLedger(RecordingObserver::new());
+        let _ = sim.run_observed(&short(policy), &mut recorder).unwrap();
+        let events = recorder.0.into_events();
+        assert!(events.iter().any(|e| e.kind() == EventKind::Ledger));
+        let (fast, reference) = (replayed(&events), reference_fold(&events));
+        assert_eq!(fast, reference, "{policy:?}");
+        assert_eq!(exact(&fast), exact(&reference), "{policy:?}");
+    }
+}
+
+/// The fold's two creation edge cases: a `-0.0` first addend stays
+/// `-0.0`, and a zero-byte frame (or a negative harvest clamped to 0)
+/// still creates its counter.
+#[test]
+fn metrics_fold_keeps_signed_zero_and_zero_valued_keys() {
+    let node = NodeId::new(4);
+    let ledger = |entry| SimEvent::Ledger {
+        window: 0,
+        node,
+        entry,
+    };
+    let events = [
+        ledger(LedgerEntry::Clipped { uj: -0.0 }),
+        ledger(LedgerEntry::Drawn {
+            op: DrawOp::RadioRx,
+            uj: -0.0,
+        }),
+        ledger(LedgerEntry::Drawn {
+            op: DrawOp::RadioRx,
+            uj: -0.0,
+        }),
+        ledger(LedgerEntry::Leaked { uj: -0.0 }),
+        ledger(LedgerEntry::Leaked { uj: 0.0 }),
+        SimEvent::MessageDrop {
+            from: Party::Node(node),
+            to: Party::Host,
+            bytes: 0,
+            at_us: 0,
+        },
+        SimEvent::HarvestSlice {
+            window: 0,
+            node,
+            harvested_uj: -1.0,
+            stored_uj: -0.0,
+        },
+    ];
+    let (fast, reference) = (replayed(&events), reference_fold(&events));
+    assert_eq!(exact(&fast), exact(&reference));
+    let clipped = fast.fcounter("origin_ledger_microjoules_total{flow=\"clipped\"}");
+    assert!(clipped == 0.0 && clipped.is_sign_negative());
+    let rx = fast.fcounter("origin_ledger_drawn_microjoules_total{op=\"radio_rx\"}");
+    assert!(rx.is_sign_negative());
+    let leaked = fast.fcounter("origin_ledger_microjoules_total{flow=\"leaked\"}");
+    assert!(leaked.is_sign_positive());
+    for key in [
+        "origin_radio_bytes_total{outcome=\"dropped\"}",
+        "origin_node_harvested_microjoules_total",
+    ] {
+        assert_eq!(
+            fast.counters().find(|&(k, _)| k == key),
+            Some((key, 0)),
+            "{key}"
+        );
+    }
+    assert!(fast
+        .gauge("origin_node_stored_microjoules{node=\"4\"}")
+        .is_some_and(f64::is_sign_negative));
 }

@@ -246,21 +246,74 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// 2^53: below it every integral `f64` is an exact `i64`.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Renders `v` as a JSON number: integral values below 2^53 in
+/// magnitude print as integers (`-0.0` as `0`), other finite values as
+/// Rust's shortest round-trip `{}`, and NaN/±∞ as `null`.
 pub(crate) fn write_number(out: &mut String, v: f64) {
     use fmt::Write as _;
     if !v.is_finite() {
         // JSON has no NaN/Inf; null is the conventional stand-in.
         out.push_str("null");
-    } else if v.fract() == 0.0 && v.abs() < 2f64.powi(53) {
-        let _ = write!(out, "{}", v as i64);
+    } else if v.fract() == 0.0 && v.abs() < EXACT_INT {
+        if v < 0.0 {
+            out.push('-');
+        }
+        write_uint(out, v.abs() as u64);
     } else {
         let _ = write!(out, "{v}");
     }
 }
 
+/// `"00" "01" … "99"`: two decimal digits per lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends the decimal digits of `v` — what `write!(out, "{v}")` prints,
+/// without the `core::fmt` machinery (the JSONL sink writes about two
+/// integers per event).
+pub(crate) fn write_uint(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    // Only ASCII digits were written, so the check always passes.
+    if let Ok(digits) = std::str::from_utf8(&buf[at..]) {
+        out.push_str(digits);
+    }
+}
+
+/// Whether byte `b` needs an escape inside a JSON string.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 pub(crate) fn write_string(out: &mut String, s: &str) {
     use fmt::Write as _;
     out.push('"');
+    if !s.bytes().any(needs_escape) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -529,6 +582,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use origin_check::{Draw, Rng};
 
     #[test]
     fn renders_scalars() {
@@ -628,6 +682,91 @@ mod tests {
         assert!(JsonValue::parse(&hostile).is_err());
         let mixed = "[{\"k\":".repeat(500_000);
         assert!(JsonValue::parse(&mixed).is_err());
+    }
+
+    /// The number rule spelled through `core::fmt`: the oracle the
+    /// digit writer must match byte for byte.
+    fn fmt_number(v: f64) -> String {
+        if !v.is_finite() {
+            "null".to_owned()
+        } else if v.fract() == 0.0 && v.abs() < 2f64.powi(53) {
+            format!("{}", v as i64)
+        } else {
+            format!("{v}")
+        }
+    }
+
+    fn written(v: f64) -> String {
+        let mut out = String::from("~");
+        write_number(&mut out, v);
+        out.split_off(1)
+    }
+
+    #[test]
+    fn write_number_matches_the_fmt_rule_at_the_edges() {
+        let exact = 2f64.powi(53);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            exact - 1.0,
+            -(exact - 1.0),
+            exact,
+            -exact,
+            exact + 2.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.5,
+            -0.5,
+            0.25,
+            0.8,
+            498.95,
+        ];
+        // Every digit-count boundary of the integer path, both signs.
+        let mut p = 1.0;
+        while p < exact {
+            edges.extend([p - 1.0, p, p + 1.0, -p, -(p - 1.0)]);
+            p *= 10.0;
+        }
+        for v in edges {
+            assert_eq!(written(v), fmt_number(v), "{v:e} ({:#x})", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn write_number_matches_the_fmt_rule_on_random_bits() {
+        origin_check::check(256, |rng| {
+            for _ in 0..64 {
+                // Any bit pattern: mostly non-integral floats, NaNs, ±∞.
+                let v = f64::from_bits(rng.u64_in(0..u64::MAX));
+                assert_eq!(written(v), fmt_number(v), "{:#x}", v.to_bits());
+                // An integer of random magnitude, so the digit path sees
+                // every length from 1 to 20 digits.
+                let n = rng.u64_in(0..u64::MAX) >> rng.gen_range(0u32..64);
+                let v = if rng.coin() { n as f64 } else { -(n as f64) };
+                assert_eq!(written(v), fmt_number(v), "{v:e}");
+                let mut out = String::new();
+                write_uint(&mut out, n);
+                assert_eq!(out, n.to_string());
+            }
+        });
+    }
+
+    #[test]
+    fn write_uint_covers_the_u64_range() {
+        for n in [0, 9, 10, 99, 100, 101, 999, 1000, u64::MAX - 1, u64::MAX] {
+            let mut out = String::new();
+            write_uint(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! [`crate::JsonValue::parse`]. Each line is streamed straight from the
 //! event's fields into one reused buffer, through the same number and
 //! string writers [`crate::JsonValue::render`] uses, so a line is
-//! byte-identical to rendering the equivalent `JsonValue` object.
+//! byte-identical to rendering the equivalent `JsonValue` object. Keys
+//! are pre-escaped literals, integers go through an in-repo digit writer,
+//! and only non-integral floats reach `core::fmt` — once per value while
+//! it stays in a 64-slot memo of recent renders.
 
 use crate::event::{LedgerEntry, Party, SimEvent};
-use crate::json::{write_number, write_string};
+use crate::json::{write_number, write_string, write_uint};
 use crate::observer::SimObserver;
-use std::fmt::Write as _;
 use std::io::{self, Write};
 
 /// Writes every observed event as one JSON line into `W`.
@@ -22,6 +24,7 @@ use std::io::{self, Write};
 pub struct JsonlObserver<W: Write> {
     writer: W,
     line: String,
+    memo: FloatMemo,
     written: u64,
     error: Option<io::Error>,
 }
@@ -33,6 +36,7 @@ impl<W: Write> JsonlObserver<W> {
         Self {
             writer,
             line: String::new(),
+            memo: FloatMemo::new(),
             written: 0,
             error: None,
         }
@@ -65,7 +69,7 @@ impl<W: Write> SimObserver for JsonlObserver<W> {
             return;
         }
         self.line.clear();
-        write_event(&mut self.line, event);
+        write_event(&mut self.line, &mut self.memo, event);
         self.line.push('\n');
         match self.writer.write_all(self.line.as_bytes()) {
             Ok(()) => self.written += 1,
@@ -74,26 +78,73 @@ impl<W: Write> SimObserver for JsonlObserver<W> {
     }
 }
 
+/// Recent renders of the events' float fields, direct-mapped by bit
+/// pattern: the ledger repeats a few values (per-window costs and
+/// capacities), and a hit skips `core::fmt`.
+#[derive(Debug)]
+struct FloatMemo {
+    /// `(bits, render)`; an empty render marks an unused slot.
+    slots: Vec<(u64, String)>,
+}
+
+impl FloatMemo {
+    const SLOTS: usize = 64;
+
+    fn new() -> Self {
+        Self {
+            slots: vec![(0, String::new()); Self::SLOTS],
+        }
+    }
+
+    /// Writes `v` exactly as [`write_number`] does.
+    fn write(&mut self, out: &mut String, v: f64) {
+        let bits = v.to_bits();
+        // Fibonacci hashing: the top 6 bits of the product.
+        let slot = &mut self.slots[(bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize];
+        if slot.0 == bits && !slot.1.is_empty() {
+            out.push_str(&slot.1);
+            return;
+        }
+        let start = out.len();
+        write_number(out, v);
+        slot.0 = bits;
+        slot.1.clear();
+        slot.1.push_str(&out[start..]);
+    }
+}
+
+/// `,"<name>":` — a member key as one pre-escaped literal (every key
+/// below is plain snake_case, so it needs no escaping).
+macro_rules! key {
+    ($name:literal) => {
+        concat!(",\"", $name, "\":")
+    };
+}
+
 /// One JSON object under construction: `{"event":…` then `,"key":value`
-/// members, closed by [`Line::close`].
-struct Line<'a>(&'a mut String);
+/// members, closed by [`Line::close`]. Keys arrive as `key!` literals.
+struct Line<'a>(&'a mut String, &'a mut FloatMemo);
 
 impl Line<'_> {
     fn key(&mut self, key: &str) -> &mut String {
-        self.0.push(',');
-        write_string(self.0, key);
-        self.0.push(':');
+        self.0.push_str(key);
         &mut *self.0
     }
 
     fn num(&mut self, key: &str, value: f64) {
-        write_number(self.key(key), value);
+        self.0.push_str(key);
+        self.1.write(self.0, value);
     }
 
-    /// Integers are JSON numbers, so they go through `f64` exactly as
-    /// `JsonValue::from(u64)` does (a window index past 2^53 rounds).
+    /// Integers are JSON numbers, so they render exactly as
+    /// `JsonValue::from(u64)` does: digit for digit below 2^53, and
+    /// through the rounding `f64` above it.
     fn uint(&mut self, key: &str, value: u64) {
-        self.num(key, value as f64);
+        if value < 1 << 53 {
+            write_uint(self.key(key), value);
+        } else {
+            self.num(key, value as f64);
+        }
     }
 
     fn str(&mut self, key: &str, value: &str) {
@@ -110,7 +161,9 @@ impl Line<'_> {
             Party::Node(id) => {
                 // `node<digits>` needs no escaping.
                 let out = self.key(key);
-                let _ = write!(out, "\"node{}\"", id.as_u32());
+                out.push_str("\"node");
+                write_uint(out, u64::from(id.as_u32()));
+                out.push('"');
             }
         }
     }
@@ -123,21 +176,19 @@ impl Line<'_> {
 /// Renders `event` as one JSON object (no trailing newline) into `out`.
 /// The `"event"` key always comes first and holds
 /// [`crate::EventKind::name`].
-fn write_event(out: &mut String, event: &SimEvent) {
-    out.push('{');
-    write_string(out, "event");
-    out.push(':');
+fn write_event(out: &mut String, memo: &mut FloatMemo, event: &SimEvent) {
+    out.push_str("{\"event\":");
     write_string(out, event.kind().name());
-    let mut line = Line(out);
+    let mut line = Line(out, memo);
     match *event {
         SimEvent::WindowStart {
             window,
             at_us,
             truth,
         } => {
-            line.uint("window", window);
-            line.uint("at_us", at_us);
-            line.str("truth", truth.label());
+            line.uint(key!("window"), window);
+            line.uint(key!("at_us"), at_us);
+            line.str(key!("truth"), truth.label());
         }
         SimEvent::HarvestSlice {
             window,
@@ -145,33 +196,33 @@ fn write_event(out: &mut String, event: &SimEvent) {
             harvested_uj,
             stored_uj,
         } => {
-            line.uint("window", window);
-            line.uint("node", u64::from(node.as_u32()));
-            line.num("harvested_uj", harvested_uj);
-            line.num("stored_uj", stored_uj);
+            line.uint(key!("window"), window);
+            line.uint(key!("node"), u64::from(node.as_u32()));
+            line.num(key!("harvested_uj"), harvested_uj);
+            line.num(key!("stored_uj"), stored_uj);
         }
         SimEvent::SlotScheduled {
             window,
             attempters,
             idle,
         } => {
-            line.uint("window", window);
-            line.uint("attempters", u64::from(attempters));
-            line.bool("idle", idle);
+            line.uint(key!("window"), window);
+            line.uint(key!("attempters"), u64::from(attempters));
+            line.bool(key!("idle"), idle);
         }
         SimEvent::ActivationSignal { window, from, to } => {
-            line.uint("window", window);
-            line.uint("from", u64::from(from.as_u32()));
-            line.uint("to", u64::from(to.as_u32()));
+            line.uint(key!("window"), window);
+            line.uint(key!("from"), u64::from(from.as_u32()));
+            line.uint(key!("to"), u64::from(to.as_u32()));
         }
         SimEvent::InferenceAttempt {
             window,
             node,
             headroom,
         } => {
-            line.uint("window", window);
-            line.uint("node", u64::from(node.as_u32()));
-            line.num("headroom", headroom);
+            line.uint(key!("window"), window);
+            line.uint(key!("node"), u64::from(node.as_u32()));
+            line.num(key!("headroom"), headroom);
         }
         SimEvent::InferenceCompleted {
             window,
@@ -179,23 +230,23 @@ fn write_event(out: &mut String, event: &SimEvent) {
             activity,
             confidence,
         } => {
-            line.uint("window", window);
-            line.uint("node", u64::from(node.as_u32()));
-            line.str("activity", activity.label());
-            line.num("confidence", confidence);
+            line.uint(key!("window"), window);
+            line.uint(key!("node"), u64::from(node.as_u32()));
+            line.str(key!("activity"), activity.label());
+            line.num(key!("confidence"), confidence);
         }
         SimEvent::InferenceBrownout {
             window,
             node,
             sensed,
         } => {
-            line.uint("window", window);
-            line.uint("node", u64::from(node.as_u32()));
-            line.bool("sensed", sensed);
+            line.uint(key!("window"), window);
+            line.uint(key!("node"), u64::from(node.as_u32()));
+            line.bool(key!("sensed"), sensed);
         }
         SimEvent::NvpCheckpoint { window, node } => {
-            line.uint("window", window);
-            line.uint("node", u64::from(node.as_u32()));
+            line.uint(key!("window"), window);
+            line.uint(key!("node"), u64::from(node.as_u32()));
         }
         SimEvent::MessageTx {
             from,
@@ -209,20 +260,20 @@ fn write_event(out: &mut String, event: &SimEvent) {
             bytes,
             at_us,
         } => {
-            line.party("from", from);
-            line.party("to", to);
-            line.uint("bytes", bytes as u64);
-            line.uint("at_us", at_us);
+            line.party(key!("from"), from);
+            line.party(key!("to"), to);
+            line.uint(key!("bytes"), bytes as u64);
+            line.uint(key!("at_us"), at_us);
         }
         SimEvent::RecallServed { window, votes } => {
-            line.uint("window", window);
-            line.uint("votes", u64::from(votes));
+            line.uint(key!("window"), window);
+            line.uint(key!("votes"), u64::from(votes));
         }
         SimEvent::EnsembleVote { window, prediction } => {
-            line.uint("window", window);
+            line.uint(key!("window"), window);
             match prediction {
-                Some(activity) => line.str("prediction", activity.label()),
-                None => line.key("prediction").push_str("null"),
+                Some(activity) => line.str(key!("prediction"), activity.label()),
+                None => line.key(key!("prediction")).push_str("null"),
             }
         }
         SimEvent::ConfidenceUpdate {
@@ -230,31 +281,31 @@ fn write_event(out: &mut String, event: &SimEvent) {
             activity,
             weight,
         } => {
-            line.uint("node", u64::from(node.as_u32()));
-            line.str("activity", activity.label());
-            line.num("weight", weight);
+            line.uint(key!("node"), u64::from(node.as_u32()));
+            line.str(key!("activity"), activity.label());
+            line.num(key!("weight"), weight);
         }
         SimEvent::Ledger {
             window,
             node,
             entry,
         } => {
-            line.uint("window", window);
-            line.uint("node", u64::from(node.as_u32()));
-            line.str("flow", entry.flow());
+            line.uint(key!("window"), window);
+            line.uint(key!("node"), u64::from(node.as_u32()));
+            line.str(key!("flow"), entry.flow());
             match entry {
                 LedgerEntry::Opening { stored_uj } | LedgerEntry::SlotClose { stored_uj } => {
-                    line.num("stored_uj", stored_uj);
+                    line.num(key!("stored_uj"), stored_uj);
                 }
                 LedgerEntry::Drawn { op, uj } => {
-                    line.str("op", op.name());
-                    line.num("uj", uj);
+                    line.str(key!("op"), op.name());
+                    line.num(key!("uj"), uj);
                 }
                 LedgerEntry::Harvested { uj }
                 | LedgerEntry::ChargeLoss { uj }
                 | LedgerEntry::Clipped { uj }
                 | LedgerEntry::Leaked { uj } => {
-                    line.num("uj", uj);
+                    line.num(key!("uj"), uj);
                 }
             }
         }
@@ -267,11 +318,12 @@ mod tests {
     use super::*;
     use crate::event::DrawOp;
     use crate::json::JsonValue;
+    use origin_check::{Draw, Rng};
     use origin_types::{ActivityClass, NodeId};
 
     fn stream(event: &SimEvent) -> String {
         let mut out = String::new();
-        write_event(&mut out, event);
+        write_event(&mut out, &mut FloatMemo::new(), event);
         out
     }
 
@@ -616,6 +668,37 @@ mod tests {
         }
         assert_eq!(sink.events_written(), events.len() as u64);
         assert_eq!(String::from_utf8(sink.finish().unwrap()).unwrap(), expected);
+    }
+
+    /// The float memo hands back exactly what it stored: a stream that
+    /// revisits a pool of values larger than the memo (hits, misses and
+    /// slot evictions, among them values a few ulps apart) renders as the
+    /// reference lines.
+    #[test]
+    fn memoized_floats_render_as_the_reference() {
+        origin_check::check(32, |rng| {
+            let pool: Vec<f64> = (0..150u64)
+                .map(|i| match i % 3 {
+                    0 => f64::from_bits(rng.u64_in(0..u64::MAX)),
+                    1 => f64::from(rng.gen_range(0u32..1000)) * 0.05,
+                    _ => f64::from_bits(0.8f64.to_bits() + i),
+                })
+                .collect();
+            let mut sink = JsonlObserver::new(Vec::new());
+            let mut expected = String::new();
+            for _ in 0..500 {
+                let uj = pool[rng.gen_range(0..pool.len())];
+                let event = SimEvent::Ledger {
+                    window: 0,
+                    node: NodeId::new(1),
+                    entry: LedgerEntry::Leaked { uj },
+                };
+                sink.on_event(&event);
+                expected.push_str(&reference(&event).render());
+                expected.push('\n');
+            }
+            assert_eq!(String::from_utf8(sink.finish().unwrap()).unwrap(), expected);
+        });
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use crate::event::{LedgerEntry, SimEvent};
 use crate::observer::SimObserver;
-use std::collections::BTreeMap;
 
 /// Default conservation tolerance, in microjoules.
 pub const DEFAULT_EPSILON_UJ: f64 = 1e-9;
@@ -83,7 +82,8 @@ impl LedgerAuditReport {
 #[derive(Debug, Clone)]
 pub struct LedgerAuditor {
     epsilon_uj: f64,
-    nodes: BTreeMap<u32, NodeLedger>,
+    /// Indexed by node id (the deployment's dense node indices).
+    nodes: Vec<NodeLedger>,
     report: LedgerAuditReport,
 }
 
@@ -99,7 +99,7 @@ impl LedgerAuditor {
     pub fn new(epsilon_uj: f64) -> Self {
         Self {
             epsilon_uj,
-            nodes: BTreeMap::new(),
+            nodes: Vec::new(),
             report: LedgerAuditReport::default(),
         }
     }
@@ -116,14 +116,30 @@ impl LedgerAuditor {
         self.report
     }
 
+    /// Node `node`'s audit state, created on first use.
+    fn node(&mut self, node: u32) -> &mut NodeLedger {
+        let index = node as usize;
+        if index >= self.nodes.len() {
+            self.nodes.resize(index + 1, NodeLedger::default());
+        }
+        &mut self.nodes[index]
+    }
+
     fn close_slot(&mut self, window: u64, node: u32, stored_uj: f64) {
-        let state = self.nodes.entry(node).or_default();
-        if state.anchored {
-            let expected = state.anchor_uj + state.harvested_uj
+        let state = self.node(node);
+        let expected = state.anchored.then_some(
+            state.anchor_uj + state.harvested_uj
                 - state.charge_loss_uj
                 - state.clipped_uj
                 - state.drawn_uj
-                - state.leaked_uj;
+                - state.leaked_uj,
+        );
+        *state = NodeLedger {
+            anchor_uj: stored_uj,
+            anchored: true,
+            ..NodeLedger::default()
+        };
+        if let Some(expected) = expected {
             let residual = stored_uj - expected;
             self.report.slots_audited += 1;
             if residual.abs() > self.report.max_residual_uj.abs() {
@@ -137,11 +153,6 @@ impl LedgerAuditor {
                 });
             }
         }
-        *state = NodeLedger {
-            anchor_uj: stored_uj,
-            anchored: true,
-            ..NodeLedger::default()
-        };
     }
 }
 
@@ -158,31 +169,30 @@ impl SimObserver for LedgerAuditor {
         let node = node.as_u32();
         match entry {
             LedgerEntry::Opening { stored_uj } => {
-                let state = self.nodes.entry(node).or_default();
-                *state = NodeLedger {
+                *self.node(node) = NodeLedger {
                     anchor_uj: stored_uj,
                     anchored: true,
                     ..NodeLedger::default()
                 };
             }
             LedgerEntry::Harvested { uj } => {
-                self.nodes.entry(node).or_default().harvested_uj += uj;
+                self.node(node).harvested_uj += uj;
                 self.report.harvested_uj += uj;
             }
             LedgerEntry::ChargeLoss { uj } => {
-                self.nodes.entry(node).or_default().charge_loss_uj += uj;
+                self.node(node).charge_loss_uj += uj;
                 self.report.charge_loss_uj += uj;
             }
             LedgerEntry::Clipped { uj } => {
-                self.nodes.entry(node).or_default().clipped_uj += uj;
+                self.node(node).clipped_uj += uj;
                 self.report.clipped_uj += uj;
             }
             LedgerEntry::Leaked { uj } => {
-                self.nodes.entry(node).or_default().leaked_uj += uj;
+                self.node(node).leaked_uj += uj;
                 self.report.leaked_uj += uj;
             }
             LedgerEntry::Drawn { uj, .. } => {
-                self.nodes.entry(node).or_default().drawn_uj += uj;
+                self.node(node).drawn_uj += uj;
                 self.report.drawn_uj += uj;
             }
             LedgerEntry::SlotClose { stored_uj } => {

@@ -168,6 +168,11 @@ impl MetricsRegistry {
         }
     }
 
+    /// Stores `histogram` under `name`, replacing any histogram there.
+    pub(crate) fn insert_histogram(&mut self, name: &str, histogram: Histogram) {
+        self.histograms.insert(name.to_owned(), histogram);
+    }
+
     /// Counter `name`'s value (0 when absent).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {

@@ -7,7 +7,8 @@
 //! (the `telemetry_120s_*` rows of `bench_report` pin this).
 
 use crate::event::{EventKind, LedgerEntry, SimEvent};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Histogram, MetricsRegistry};
+use std::ops::Add;
 
 /// A consumer of [`SimEvent`]s.
 ///
@@ -128,10 +129,33 @@ impl SimObserver for RecordingObserver {
 ///   `origin_ledger_slots_total` — energy-ledger flow totals (µJ, f64
 ///   counters) and audited slot count, present only when the run was
 ///   ledger-enabled (see [`SimObserver::wants_ledger`]).
+///
+/// Events fold into fixed slots indexed by event kind, ledger flow, draw
+/// operation and node, with no key lookup per event; the registry is
+/// built once, by [`MetricsObserver::metrics`] or
+/// [`MetricsObserver::into_metrics`]. A metric exists there exactly when
+/// an event created it (a zero-byte frame still creates its byte
+/// counter), and every `f64` total is summed in event order starting
+/// from its first addend, so the result equals calling
+/// [`MetricsRegistry::inc`], `add`, `fadd`, `set_gauge` and `observe`
+/// once per event.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsObserver {
-    metrics: MetricsRegistry,
     by_kind: [u64; EVENT_KINDS],
+    /// `origin_node_harvested_microjoules_total`.
+    harvested_uj: Option<u64>,
+    /// The last stored level per node index (`None`: node not seen yet).
+    stored_uj: Vec<Option<f64>>,
+    attempters: Option<Histogram>,
+    headroom: Option<Histogram>,
+    confidence: Option<Histogram>,
+    sent_bytes: Option<u64>,
+    dropped_bytes: Option<u64>,
+    /// Indexed like [`FLOW_TOTAL`].
+    flow_uj: [Option<f64>; 4],
+    /// Indexed by `DrawOp as usize`, like [`DRAWN_TOTAL`].
+    drawn_uj: [Option<f64>; 6],
+    slots: u64,
 }
 
 /// Number of [`EventKind`]s; `kind as usize` indexes the tables below.
@@ -163,6 +187,15 @@ const NODE_STORED: [&str; 3] = [
     "origin_node_stored_microjoules{node=\"2\"}",
 ];
 
+/// `origin_ledger_microjoules_total{flow=…}` for the capacitor flows
+/// (`Drawn` has its own table and the anchors have none).
+const FLOW_TOTAL: [&str; 4] = [
+    "origin_ledger_microjoules_total{flow=\"harvested\"}",
+    "origin_ledger_microjoules_total{flow=\"charge_loss\"}",
+    "origin_ledger_microjoules_total{flow=\"clipped\"}",
+    "origin_ledger_microjoules_total{flow=\"leaked\"}",
+];
+
 /// `origin_ledger_drawn_microjoules_total{op=…}`, indexed by
 /// `DrawOp as usize`.
 const DRAWN_TOTAL: [&str; 6] = [
@@ -181,6 +214,19 @@ const ATTEMPTER_BOUNDS: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0];
 /// Bucket bounds for softmax-variance confidence.
 const CONFIDENCE_BOUNDS: &[f64] = &[0.02, 0.05, 0.1, 0.15, 0.2, 0.25];
 
+/// Adds `by` to a counter slot as [`MetricsRegistry::add`] and
+/// [`MetricsRegistry::fadd`] do: an empty slot starts at `by` itself, so
+/// a `-0.0` first addend stays `-0.0`.
+fn add<T: Copy + Add<Output = T>>(slot: &mut Option<T>, by: T) {
+    *slot = Some(slot.map_or(by, |total| total + by));
+}
+
+/// Records `value` into a histogram slot, creating it over `bounds`.
+fn observe(slot: &mut Option<Histogram>, bounds: &[f64], value: f64) {
+    slot.get_or_insert_with(|| Histogram::new(bounds))
+        .observe(value);
+}
+
 impl MetricsObserver {
     /// An empty aggregator.
     #[must_use]
@@ -188,10 +234,53 @@ impl MetricsObserver {
         Self::default()
     }
 
-    /// The aggregated metrics so far.
+    /// A snapshot of the aggregated metrics so far.
     #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut m = MetricsRegistry::new();
+        for (key, &n) in EVENTS_TOTAL.iter().zip(&self.by_kind) {
+            if n > 0 {
+                m.add(key, n);
+            }
+        }
+        if let Some(uj) = self.harvested_uj {
+            m.add("origin_node_harvested_microjoules_total", uj);
+        }
+        for (node, stored) in self.stored_uj.iter().enumerate() {
+            let Some(uj) = *stored else { continue };
+            match NODE_STORED.get(node) {
+                Some(key) => m.set_gauge(key, uj),
+                None => m.set_gauge(
+                    &format!("origin_node_stored_microjoules{{node=\"{node}\"}}"),
+                    uj,
+                ),
+            }
+        }
+        for (name, histogram) in [
+            ("origin_slot_attempters", &self.attempters),
+            ("origin_stored_headroom", &self.headroom),
+            ("origin_confidence", &self.confidence),
+        ] {
+            if let Some(h) = histogram {
+                m.insert_histogram(name, h.clone());
+            }
+        }
+        if let Some(bytes) = self.sent_bytes {
+            m.add("origin_radio_bytes_total{outcome=\"sent\"}", bytes);
+        }
+        if let Some(bytes) = self.dropped_bytes {
+            m.add("origin_radio_bytes_total{outcome=\"dropped\"}", bytes);
+        }
+        let flows = FLOW_TOTAL.iter().zip(&self.flow_uj);
+        for (key, total) in flows.chain(DRAWN_TOTAL.iter().zip(&self.drawn_uj)) {
+            if let Some(uj) = *total {
+                m.fadd(key, uj);
+            }
+        }
+        if self.slots > 0 {
+            m.add("origin_ledger_slots_total", self.slots);
+        }
+        m
     }
 
     /// How many events of `kind` were seen.
@@ -209,15 +298,13 @@ impl MetricsObserver {
     /// Consumes the observer, yielding the registry.
     #[must_use]
     pub fn into_metrics(self) -> MetricsRegistry {
-        self.metrics
+        self.metrics()
     }
 }
 
 impl SimObserver for MetricsObserver {
     fn on_event(&mut self, event: &SimEvent) {
-        let kind = event.kind() as usize;
-        self.by_kind[kind] += 1;
-        self.metrics.inc(EVENTS_TOTAL[kind]);
+        self.by_kind[event.kind() as usize] += 1;
         match *event {
             SimEvent::HarvestSlice {
                 node,
@@ -225,65 +312,35 @@ impl SimObserver for MetricsObserver {
                 stored_uj,
                 ..
             } => {
-                self.metrics.add(
-                    "origin_node_harvested_microjoules_total",
-                    harvested_uj.max(0.0) as u64,
-                );
-                match NODE_STORED.get(node.as_usize()) {
-                    Some(key) => self.metrics.set_gauge(key, stored_uj),
-                    None => self.metrics.set_gauge(
-                        &format!(
-                            "origin_node_stored_microjoules{{node=\"{}\"}}",
-                            node.as_u32()
-                        ),
-                        stored_uj,
-                    ),
+                add(&mut self.harvested_uj, harvested_uj.max(0.0) as u64);
+                let node = node.as_usize();
+                if node >= self.stored_uj.len() {
+                    self.stored_uj.resize(node + 1, None);
                 }
+                self.stored_uj[node] = Some(stored_uj);
             }
             SimEvent::SlotScheduled { attempters, .. } => {
-                self.metrics.observe(
-                    "origin_slot_attempters",
+                observe(
+                    &mut self.attempters,
                     ATTEMPTER_BOUNDS,
                     f64::from(attempters),
                 );
             }
             SimEvent::InferenceAttempt { headroom, .. } => {
-                self.metrics
-                    .observe("origin_stored_headroom", HEADROOM_BOUNDS, headroom);
+                observe(&mut self.headroom, HEADROOM_BOUNDS, headroom);
             }
             SimEvent::InferenceCompleted { confidence, .. } => {
-                self.metrics
-                    .observe("origin_confidence", CONFIDENCE_BOUNDS, confidence);
+                observe(&mut self.confidence, CONFIDENCE_BOUNDS, confidence);
             }
-            SimEvent::MessageTx { bytes, .. } => {
-                self.metrics
-                    .add("origin_radio_bytes_total{outcome=\"sent\"}", bytes as u64);
-            }
-            SimEvent::MessageDrop { bytes, .. } => {
-                self.metrics.add(
-                    "origin_radio_bytes_total{outcome=\"dropped\"}",
-                    bytes as u64,
-                );
-            }
+            SimEvent::MessageTx { bytes, .. } => add(&mut self.sent_bytes, bytes as u64),
+            SimEvent::MessageDrop { bytes, .. } => add(&mut self.dropped_bytes, bytes as u64),
             SimEvent::Ledger { entry, .. } => match entry {
-                LedgerEntry::Harvested { uj } => self
-                    .metrics
-                    .fadd("origin_ledger_microjoules_total{flow=\"harvested\"}", uj),
-                LedgerEntry::ChargeLoss { uj } => self
-                    .metrics
-                    .fadd("origin_ledger_microjoules_total{flow=\"charge_loss\"}", uj),
-                LedgerEntry::Clipped { uj } => self
-                    .metrics
-                    .fadd("origin_ledger_microjoules_total{flow=\"clipped\"}", uj),
-                LedgerEntry::Leaked { uj } => self
-                    .metrics
-                    .fadd("origin_ledger_microjoules_total{flow=\"leaked\"}", uj),
-                LedgerEntry::Drawn { op, uj } => {
-                    self.metrics.fadd(DRAWN_TOTAL[op as usize], uj);
-                }
-                LedgerEntry::SlotClose { .. } => {
-                    self.metrics.inc("origin_ledger_slots_total");
-                }
+                LedgerEntry::Harvested { uj } => add(&mut self.flow_uj[0], uj),
+                LedgerEntry::ChargeLoss { uj } => add(&mut self.flow_uj[1], uj),
+                LedgerEntry::Clipped { uj } => add(&mut self.flow_uj[2], uj),
+                LedgerEntry::Leaked { uj } => add(&mut self.flow_uj[3], uj),
+                LedgerEntry::Drawn { op, uj } => add(&mut self.drawn_uj[op as usize], uj),
+                LedgerEntry::SlotClose { .. } => self.slots += 1,
                 LedgerEntry::Opening { .. } => {}
             },
             _ => {}
@@ -501,6 +558,21 @@ mod tests {
                 format!(
                     "origin_ledger_drawn_microjoules_total{{op=\"{}\"}}",
                     op.name()
+                )
+            );
+        }
+        let flows = [
+            LedgerEntry::Harvested { uj: 0.0 },
+            LedgerEntry::ChargeLoss { uj: 0.0 },
+            LedgerEntry::Clipped { uj: 0.0 },
+            LedgerEntry::Leaked { uj: 0.0 },
+        ];
+        for (entry, key) in flows.iter().zip(FLOW_TOTAL) {
+            assert_eq!(
+                key,
+                format!(
+                    "origin_ledger_microjoules_total{{flow=\"{}\"}}",
+                    entry.flow()
                 )
             );
         }
